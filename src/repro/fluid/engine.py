@@ -9,17 +9,22 @@ advances time analytically in between.  A 10,000-session heavy-tailed
 day on the testbed is ~20,000 events instead of tens of millions of
 packets.
 
-Two tricks keep the event loop cheap at scale:
+Three tricks keep the event loop cheap at scale:
 
 * **Path classes** — concurrent flows between the same endpoints (and
   rate cap) face identical constraints, so they always share one rate.
   The solver runs over classes with multiplicities (exact for max-min
   fairness), not individual flows: thousands of flows solve as a
-  handful of classes.
+  handful of classes.  Each distinct set of active classes is compiled
+  once (:func:`~repro.netsim.tcp.compile_max_min`) and re-solved with
+  fresh counts at every event.
 * **Drain accounting** — within a class every member drains at the same
   rate, so each flow's completion is a fixed *drain key* (cumulative
   bits the class will have served): a min-heap per class finds the next
   departure in O(log n) with no per-flow updates on re-solve.
+* **Lazy utilization** — advancing the clock adds to each class's
+  served bits only; they are priced per resource when read or when
+  :meth:`FluidEngine.invalidate_paths` retires the class.
 
 The engine owns no clock of its own: :meth:`run` drives it standalone
 (pure fluid, fastest), while :mod:`repro.fluid.hybrid` steps it from a
@@ -36,13 +41,22 @@ from typing import Any, Iterable, Optional
 
 from repro.netsim.core import Network
 from repro.netsim.ip import ClassicalIP
-from repro.netsim.tcp import characterize_path, max_min_rates
+from repro.netsim.tcp import (
+    MaxMinProblem,
+    characterize_path,
+    compile_max_min,
+    max_min_rates,
+)
 
 INF = float("inf")
 
 #: Completion tolerance in *bits*: far below one byte, far above the
 #: accumulated ulp error of a drain integral.
 _DRAIN_EPS = 1e-6
+
+#: Compiled demand sets kept per engine.  A testbed day recurs through
+#: ~15; a workload whose sets never repeat must not grow it without end.
+_MAX_PROBLEMS = 256
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,7 @@ class _Flow:
 class _PathClass:
     """All active flows sharing one (src, dst, cap) constraint set."""
 
-    __slots__ = ("key", "costs", "cap", "rate", "drained", "heap", "seq")
+    __slots__ = ("key", "costs", "cap", "rate", "drained", "served", "heap", "seq")
 
     def __init__(self, key, costs: dict[str, float], cap: float):
         self.key = key
@@ -89,6 +103,7 @@ class _PathClass:
         self.cap = cap
         self.rate = 0.0  # current per-flow rate, bit/s
         self.drained = 0.0  # cumulative bits served per member
+        self.served = 0.0  # cumulative bits served to all members
         self.heap: list[tuple[float, int, _Flow]] = []
         self.seq = 0  # FIFO tiebreak for equal finish keys
 
@@ -136,6 +151,8 @@ class FluidEngine:
         self.on_rates_changed: Optional[Any] = None
         self._classes: dict[tuple, _PathClass] = {}
         self._char_cache: dict[tuple[str, str], Any] = {}
+        self._cost_cache: dict[tuple[str, str], Optional[dict[str, float]]] = {}
+        self._problems: dict[tuple, MaxMinProblem] = {}  # keyed by demand set
         self._static: dict[str, tuple[str, str, float]] = {}
         self._pending: list[Any] = []  # (at, seq, name, src, dst, nbytes)
         self._pending_seq = 0
@@ -178,6 +195,7 @@ class FluidEngine:
         if self._characterize(src, dst) is None:
             raise ValueError(f"no route from {src} to {dst}")
         self._static[name] = (src, dst, cap)
+        self._problems.clear()  # a re-registered name may change its path
 
     # -- path characterization --------------------------------------------
     def _characterize(self, src: str, dst: str):
@@ -191,6 +209,19 @@ class FluidEngine:
                 self._char_cache[key] = None  # no route right now
         return self._char_cache[key]
 
+    def _costs(self, src: str, dst: str) -> Optional[dict[str, float]]:
+        """Seconds per payload bit on each resource of the current path
+        (``None`` while unroutable)."""
+        key = (src, dst)
+        if key not in self._cost_cache:
+            char = self._characterize(src, dst)
+            costs = None
+            if char is not None:
+                bits = char.mss * 8.0
+                costs = {r: t / bits for r, t in char.resources.items()}
+            self._cost_cache[key] = costs
+        return self._cost_cache[key]
+
     def _class_for(self, src: str, dst: str) -> _PathClass:
         char = self._characterize(src, dst)
         if char is None:
@@ -201,15 +232,13 @@ class FluidEngine:
             if cls is None:
                 cls = self._classes[key] = _PathClass(key, {}, 0.0)
             return cls
-        bits = char.mss * 8.0
         cap = INF
         if self.window_bytes != INF and char.rtt > 0:
             cap = self.window_bytes * 8.0 / char.rtt
         key = (src, dst, cap)
         cls = self._classes.get(key)
         if cls is None:
-            costs = {r: t / bits for r, t in char.resources.items()}
-            cls = self._classes[key] = _PathClass(key, costs, cap)
+            cls = self._classes[key] = _PathClass(key, self._costs(src, dst), cap)
         return cls
 
     def invalidate_paths(self) -> None:
@@ -219,10 +248,16 @@ class FluidEngine:
         """
         carried: list[tuple[_Flow, float]] = []
         for cls in self._classes.values():
+            for r, c in cls.costs.items():  # retire the served bits
+                self._util_integral[r] = (
+                    self._util_integral.get(r, 0.0) + cls.served * c
+                )
             for key, _, flow in cls.heap:
                 carried.append((flow, max(0.0, key - cls.drained)))
         self._classes.clear()
         self._char_cache.clear()
+        self._cost_cache.clear()
+        self._problems.clear()
         for flow, remaining_bits in carried:
             if remaining_bits <= _DRAIN_EPS:
                 self._finish(flow, None)
@@ -232,23 +267,33 @@ class FluidEngine:
 
     # -- solving -----------------------------------------------------------
     def _resolve(self) -> None:
-        costs: dict[Any, dict[str, float]] = {}
         caps: dict[Any, float] = {}
         counts: dict[Any, int] = {}
         for key, cls in self._classes.items():
             if cls.count:
-                costs[key] = cls.costs
                 caps[key] = cls.cap
                 counts[key] = cls.count
         for name, (src, dst, cap) in self._static.items():
-            char = self._characterize(src, dst)
-            if char is None:
-                continue  # no route right now: the demand is silent
-            bits = char.mss * 8.0
-            costs[name] = {r: t / bits for r, t in char.resources.items()}
-            caps[name] = cap
-            counts[name] = 1
-        rates = max_min_rates(costs, caps, counts) if costs else {}
+            if self._costs(src, dst) is not None:  # unroutable: silent
+                caps[name] = cap
+                counts[name] = 1
+        # The active demand set recurs all day long (a handful of path
+        # classes), so its incidence is compiled once per set.
+        demands = tuple(caps)
+        rates: dict[Any, float] = {}
+        if demands:
+            problem = self._problems.get(demands)
+            if problem is None:
+                if len(self._problems) >= _MAX_PROBLEMS:
+                    self._problems.clear()
+                costs: dict[Any, dict[str, float]] = {}
+                for key in demands:
+                    if key in self._static:
+                        costs[key] = self._costs(*self._static[key][:2])
+                    else:
+                        costs[key] = self._classes[key].costs
+                problem = self._problems[demands] = compile_max_min(costs)
+            rates = max_min_rates(problem, caps, counts)
         for key, cls in self._classes.items():
             cls.rate = rates.get(key, 0.0) if cls.count else 0.0
         self.resolves += 1
@@ -299,14 +344,9 @@ class FluidEngine:
         dt = t - self.now
         if dt > 0:
             for cls in self._classes.values():
-                if not cls.count or cls.rate <= 0:
-                    continue
-                cls.drained += cls.rate * dt
-                total = cls.count * cls.rate * dt
-                for r, c in cls.costs.items():
-                    self._util_integral[r] = (
-                        self._util_integral.get(r, 0.0) + total * c
-                    )
+                if cls.count and cls.rate > 0:
+                    cls.drained += cls.rate * dt
+                    cls.served += cls.count * cls.rate * dt
             self._active_integral += self._active * dt
             self.now = t
         changed = self._harvest()
@@ -390,7 +430,12 @@ class FluidEngine:
         """Time-averaged occupancy of one resource key (0..1)."""
         if self.now <= 0:
             return 0.0
-        return self._util_integral.get(resource, 0.0) / self.now
+        integral = self._util_integral.get(resource, 0.0)
+        for cls in self._classes.values():  # fold in the live classes
+            c = cls.costs.get(resource)
+            if c is not None:
+                integral += cls.served * c
+        return integral / self.now
 
     def fct_stats(self) -> dict[str, float]:
         """Summary of flow completion times (empty dict when none)."""

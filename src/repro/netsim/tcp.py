@@ -175,14 +175,59 @@ class FlowDemand:
     rate: float = float("inf")  #: fixed offered-rate cap, bit/s of payload
 
 
+@dataclass(frozen=True, eq=False)
+class MaxMinProblem:
+    """The demand/resource incidence of a :func:`max_min_rates` input,
+    compiled once by :func:`compile_max_min` so a caller re-solving the
+    same demands under new caps and counts skips the dict walk."""
+
+    names: tuple  #: demand names, in ``costs`` insertion order
+    users: tuple  #: per resource: ``((demand index, seconds per bit), ...)``
+    uses: tuple  #: per demand: indexes into ``users`` of its resources
+
+
+def _dominates(a: list, b: list) -> bool:
+    """Whether resource column ``a`` costs ≥ ``b`` for every user."""
+    return all(ca >= cb for (_, ca), (_, cb) in zip(a, b))
+
+
+def compile_max_min(costs: Mapping[Any, Mapping[str, float]]) -> MaxMinProblem:
+    """Compile ``{demand: {resource: seconds per bit}}`` into flat
+    per-resource incidence lists, in ``costs`` insertion order.
+
+    A resource is dropped when a kept one has the same user set and an
+    elementwise ≥ cost vector.  Float ``+``, ``*`` and ``/`` are
+    monotone, so the dropped resource's load, demand and slack never
+    undercut the kept one's: it can neither set the water level nor
+    saturate first, and dropping it leaves every rate bit-identical.
+    """
+    incidence: dict[str, list[tuple[int, float]]] = {}
+    for i, demand_costs in enumerate(costs.values()):
+        for r, c in demand_costs.items():
+            incidence.setdefault(r, []).append((i, c))
+    groups: dict[tuple[int, ...], list[list[tuple[int, float]]]] = {}
+    for column in incidence.values():
+        kept = groups.setdefault(tuple(i for i, _ in column), [])
+        if not any(_dominates(k, column) for k in kept):
+            kept[:] = [k for k in kept if not _dominates(column, k)]
+            kept.append(column)
+    users = tuple(tuple(column) for kept in groups.values() for column in kept)
+    uses: list[list[int]] = [[] for _ in costs]
+    for j, column in enumerate(users):
+        for i, _ in column:
+            uses[i].append(j)
+    return MaxMinProblem(tuple(costs), users, tuple(map(tuple, uses)))
+
+
 def max_min_rates(
-    costs: Mapping[str, Mapping[str, float]],
-    caps: Mapping[str, float],
-    counts: Mapping[str, int] | None = None,
-) -> dict[str, float]:
+    costs: Mapping[Any, Mapping[str, float]] | MaxMinProblem,
+    caps: Mapping[Any, float],
+    counts: Mapping[Any, int] | None = None,
+) -> dict[Any, float]:
     """Water-fill max-min rates from precomputed per-bit resource costs.
 
-    ``costs`` maps each demand name to ``{resource: seconds per bit}``;
+    ``costs`` maps each demand name to ``{resource: seconds per bit}``,
+    or is that mapping already compiled by :func:`compile_max_min`;
     ``caps`` bounds each demand's own rate (``inf`` for uncapped).
     ``counts`` optionally aggregates *classes* of identical demands: a
     class with count ``m`` occupies ``m × rate × cost`` of each resource
@@ -192,59 +237,89 @@ def max_min_rates(
     the fluid engine (:mod:`repro.fluid`) re-solve thousands of
     concurrent flows as a handful of path classes.
 
+    Loads and demands are summed left to right in demand insertion
+    order, so the rates never depend on hash seeds or on the
+    interpreter's ``sum`` algorithm.
+
     This is the solver core of :func:`fair_share_throughputs`, exposed
     separately so event-driven callers can cache the expensive
     path-characterization step and re-solve on every flow event.
     """
+    if not isinstance(costs, MaxMinProblem):
+        costs = compile_max_min(costs)
+    names = costs.names
     n_of = counts or {}
-    rates = {name: 0.0 for name in costs}
-    live = set(costs)
+    rates = _water_fill(
+        costs, [caps[n] for n in names], [n_of.get(n, 1) for n in names]
+    )
+    return dict(zip(names, rates))
+
+
+def _water_fill(
+    problem: MaxMinProblem, caps: list[float], counts: list[int]
+) -> list[float]:
+    """Progressive filling over the compiled incidence lists.
+
+    The hot loop spells out ``min``/``max`` as comparisons (same result,
+    NaN included) and keeps per-resource live-user counts, so resources
+    whose users are all frozen drop out without a rescan.
+    """
+    inf = float("inf")
+    users, uses = problem.users, problem.uses
+    rates = [0.0] * len(caps)
+    is_live = [True] * len(caps)
+    live = list(range(len(caps)))
+    live_users = [len(u) for u in users]
+    active = list(range(len(users)))  # resources with a live user
     while live:
-        # Tightest constraint over live flows: resource slack shared by
-        # everyone using it, or a live flow's distance to its own cap.
-        delta = float("inf")
-        live_resources = {r for n in live for r in costs[n]}
-        for r in live_resources:
-            load = sum(
-                n_of.get(n, 1) * rates[n] * c[r]
-                for n, c in costs.items()
-                if r in c
-            )
-            demand = sum(
-                n_of.get(n, 1) * costs[n][r] for n in live if r in costs[n]
-            )
+        # Tightest constraint over live demands: resource slack shared
+        # by everyone using it, or a live demand's distance to its cap.
+        shares = [m * r for m, r in zip(counts, rates)]
+        delta = inf
+        for j in active:
+            load = demand = 0.0
+            for i, c in users[j]:
+                load += shares[i] * c
+                if is_live[i]:
+                    demand += counts[i] * c
             if demand > 0:  # zero-cost resources constrain nothing
-                delta = min(delta, max(0.0, 1.0 - load) / demand)
-        for n in live:
-            delta = min(delta, caps[n] - rates[n])
-        if delta == float("inf"):
-            # No finite constraint left (free paths, uncapped flows).
-            for n in live:
-                rates[n] = float("inf")
+                slack = 1.0 - load
+                d = (slack if slack > 0.0 else 0.0) / demand
+                if d < delta:
+                    delta = d
+        for i in live:
+            d = caps[i] - rates[i]
+            if d < delta:
+                delta = d
+        if delta == inf:
+            # No finite constraint left (free paths, uncapped demands).
+            for i in live:
+                rates[i] = inf
             break
-        for n in live:
-            rates[n] += delta
+        for i in live:
+            rates[i] += delta
+        shares = [m * r for m, r in zip(counts, rates)]
         saturated = set()
-        for r in live_resources:
-            load = sum(
-                n_of.get(n, 1) * rates[n] * c[r]
-                for n, c in costs.items()
-                if r in c
-            )
+        for j in active:
+            load = 0.0
+            for i, c in users[j]:
+                load += shares[i] * c
             if load >= 1.0 - 1e-9:
-                saturated.add(r)
-        frozen = {
-            n
-            for n in live
-            if (
-                caps[n] != float("inf")
-                and rates[n] >= caps[n] - 1e-9 * max(1.0, caps[n])
-            )
-            or any(r in saturated for r in costs[n])
-        }
+                saturated.add(j)
+        frozen = [
+            i
+            for i in live
+            if (caps[i] != inf and rates[i] >= caps[i] - 1e-9 * max(1.0, caps[i]))
+            or not saturated.isdisjoint(uses[i])
+        ]
         if not frozen:  # numerical stall guard: never loop forever
             break
-        live -= frozen
+        for i in frozen:
+            is_live[i] = False
+            for j in uses[i]:
+                live_users[j] -= 1
+        live = [i for i in live if is_live[i]]
+        active = [j for j in active if live_users[j]]
     return rates
 
 

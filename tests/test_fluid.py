@@ -10,8 +10,13 @@ digest, and these tests pin the mechanism behind it.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fluid import (
     BoundedPareto,
@@ -149,6 +154,35 @@ class TestBoundedPareto:
 
 # -- fluid engine ------------------------------------------------------------
 
+class _UtilReference:
+    """Per-event utilization accounting kept outside the engine: every
+    re-solve closes the interval since the previous one at the loads
+    :meth:`FluidEngine.resource_loads` reported for it."""
+
+    def __init__(self, eng):
+        self.integral: dict[str, float] = {}
+        self.loads: dict[str, float] = {}
+        self.t = eng.now
+        eng.on_rates_changed = self._on_resolve
+
+    def _close(self, now):
+        for r, load in self.loads.items():
+            self.integral[r] = self.integral.get(r, 0.0) + load * (now - self.t)
+        self.t = now
+
+    def _on_resolve(self, eng):
+        self._close(eng.now)
+        self.loads = eng.resource_loads()
+
+    def assert_matches(self, eng):
+        self._close(eng.now)
+        assert self.integral, "no fluid load was ever recorded"
+        for r, integral in self.integral.items():
+            assert eng.mean_utilization(r) == pytest.approx(
+                integral / eng.now, rel=1e-12
+            ), r
+
+
 class TestFluidEngine:
     def test_single_flow_matches_closed_form(self):
         """One fluid flow's FCT is exactly size / tcp_steady_throughput."""
@@ -230,6 +264,7 @@ class TestFluidEngine:
         net.link("a", "sw", 1e9, 1e-6)
         net.link("sw", "b", 1e8, 1e-6)
         eng = FluidEngine(net)
+        ref = _UtilReference(eng)
         eng.schedule_flow(0.0, "f", "a", "b", 10 * MB)
         eng.run()
         # The 100 Mbit/s hop ran saturated the whole time (framing
@@ -238,6 +273,35 @@ class TestFluidEngine:
         assert eng.mean_utilization(f"link:{link.name}:sw") == pytest.approx(
             1.0, rel=1e-6
         )
+        ref.assert_matches(eng)
+
+    def test_mean_utilization_across_a_mid_day_fault(self):
+        """Served bits retired at a topology invalidation and those of
+        the live classes folded in on read must add up to the same
+        integral as per-event accounting, across a WAN cut and repair."""
+        tb = build_testbed()
+        eng = FluidEngine(tb.net, window_bytes=8 * MB)
+        ref = _UtilReference(eng)
+        eng.offer(
+            WorkloadGenerator(
+                [("t3e-600", "sp2"), ("sp2", "t3e-600"), ("t90", "onyx2-gmd")],
+                n_sessions=120,
+                session_rate=60.0,
+                seed=5,
+                sizes=BoundedPareto(lo=MB, hi=16 * MB),
+            ).schedule()
+        )
+        eng.run(until=0.8)
+        assert eng.active > 0
+        tb.wan_link.set_up(False)
+        eng.invalidate_paths()  # cross-site flows park on the cut WAN
+        ref.assert_matches(eng)
+        eng.run(until=1.2)
+        tb.wan_link.set_up(True)
+        eng.invalidate_paths()
+        eng.run()
+        assert len(eng.completed) == 120
+        ref.assert_matches(eng)
 
     def test_rejects_past_arrivals_and_bad_sizes(self):
         tb = build_testbed()
@@ -421,6 +485,91 @@ class TestHybridCoupling:
 
 # -- solver core -------------------------------------------------------------
 
+INF = math.inf
+
+
+def _reference_max_min(costs, caps, counts):
+    """Progressive filling over dicts and sets, as the solver read
+    before it was compiled, with demand summed in insertion order
+    (every sum left to right)."""
+
+    def total(terms):
+        acc = 0.0
+        for term in terms:
+            acc += term
+        return acc
+
+    def load(r):
+        return total(counts[n] * rates[n] * c[r] for n, c in costs.items() if r in c)
+
+    rates = {n: 0.0 for n in costs}
+    live = list(costs)
+    while live:
+        delta = INF
+        live_resources = {r for n in live for r in costs[n]}
+        for r in live_resources:
+            demand = total(counts[n] * costs[n][r] for n in live if r in costs[n])
+            if demand > 0:
+                delta = min(delta, max(0.0, 1.0 - load(r)) / demand)
+        for n in live:
+            delta = min(delta, caps[n] - rates[n])
+        if delta == INF:
+            for n in live:
+                rates[n] = INF
+            break
+        for n in live:
+            rates[n] += delta
+        saturated = {r for r in live_resources if load(r) >= 1.0 - 1e-9}
+        frozen = {
+            n
+            for n in live
+            if (caps[n] != INF and rates[n] >= caps[n] - 1e-9 * max(1.0, caps[n]))
+            or any(r in saturated for r in costs[n])
+        }
+        if not frozen:
+            break
+        live = [n for n in live if n not in frozen]
+    return rates
+
+
+#: Few distinct costs, so duplicate and dominated cost vectors are common.
+_COST = st.one_of(
+    st.sampled_from([0.0, 1e-9, 2e-9, 2.5e-9, 1e-8]),
+    st.floats(1e-10, 1e-7),
+    st.just(INF),
+)
+
+
+@st.composite
+def _max_min_instances(draw):
+    """1-6 demands over 1-30 resources with counts 1-1000: resources
+    draw a user set and costs, echoes copy one's user set with costs
+    scaled by at most 1 (duplicates and dominated vectors); a demand no
+    resource picks runs on a free path."""
+    names = [f"d{i}" for i in range(draw(st.integers(1, 6)))]
+    resources = []
+    for _ in range(draw(st.integers(1, 30))):
+        if resources and draw(st.booleans()):
+            users = draw(st.sampled_from(resources))
+            scale = draw(st.sampled_from([1.0, 0.5, 0.0]))
+            resources.append(
+                {n: c if c == INF else c * scale for n, c in users.items()}
+            )
+        else:
+            users = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+            resources.append({n: draw(_COST) for n in users})
+    costs = {n: {} for n in names}
+    for j, users in enumerate(resources):
+        for n, c in users.items():
+            costs[n][f"r{j}"] = c
+    caps = {
+        n: draw(st.one_of(st.just(INF), st.just(0.0), st.floats(1e6, 1e10)))
+        for n in names
+    }
+    counts = {n: draw(st.integers(1, 1000)) for n in names}
+    return costs, caps, counts
+
+
 class TestMaxMinRates:
     def test_class_aggregation_matches_individuals(self):
         """Counts are exact: m identical demands solved as one class get
@@ -443,3 +592,114 @@ class TestMaxMinRates:
         )
         assert rates["a"] == pytest.approx(10e6)
         assert rates["b"] == pytest.approx(1e8 - 10e6, rel=1e-6)
+
+    def test_compile_drops_duplicate_and_dominated_resources(self):
+        from repro.netsim.tcp import compile_max_min
+
+        problem = compile_max_min(
+            {
+                "a": {"x": 2e-9, "y": 2e-9, "z": 1e-9, "solo": 0.0},
+                "b": {"x": 1e-9, "y": 1e-9, "z": 1e-9},
+            }
+        )
+        # y duplicates x and z is dominated by it (same users {a, b});
+        # solo is a's alone and stays.
+        assert problem.names == ("a", "b")
+        assert problem.users == (((0, 2e-9), (1, 1e-9)), ((0, 0.0),))
+        assert problem.uses == ((0, 1), (0,))
+
+    def test_compiled_problem_resolves_under_new_caps_and_counts(self):
+        from repro.netsim.tcp import compile_max_min, max_min_rates
+
+        costs = {"a": {"r": 1e-8}, "b": {"r": 1e-8, "s": 5e-9}}
+        problem = compile_max_min(costs)
+        for caps, counts in [
+            ({"a": math.inf, "b": math.inf}, {"a": 1, "b": 1}),
+            ({"a": 1e7, "b": math.inf}, {"a": 3, "b": 2}),
+        ]:
+            assert max_min_rates(problem, caps, counts) == max_min_rates(
+                costs, caps, counts
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_max_min_instances())
+    @example(
+        instance=({"a": {}, "b": {"r": 0.0}}, {"a": INF, "b": INF}, {"a": 1, "b": 1})
+    )
+    @example(
+        instance=(
+            {"a": {"r": INF, "s": 1e-9}, "b": {"s": 1e-9}},
+            {"a": INF, "b": INF},
+            {"a": 1, "b": 1},
+        )
+    )
+    def test_compiled_solver_matches_reference_bit_for_bit(self, instance):
+        """Dominance pruning and flat incidence lists change no bit of
+        any rate: checked against the dict-and-set progressive filling
+        the solver was compiled from."""
+        from repro.netsim.tcp import max_min_rates
+
+        costs, caps, counts = instance
+        assert max_min_rates(costs, caps, counts) == _reference_max_min(
+            costs, caps, counts
+        )
+
+    def test_free_paths_and_stall_guard(self):
+        """The two exits that do not freeze by saturation: nothing
+        finite left (uncapped free paths run at ``inf``) and the stall
+        guard (an infinite cost pins the water level at zero while
+        nothing saturates)."""
+        from repro.netsim.tcp import max_min_rates
+
+        free = max_min_rates({"a": {}, "b": {"r": 0.0}}, {"a": INF, "b": INF})
+        assert free == {"a": INF, "b": INF}
+        stalled = max_min_rates(
+            {"a": {"r": INF, "s": 1e-9}, "b": {"s": 1e-9}}, {"a": INF, "b": INF}
+        )
+        assert stalled == {"a": 0.0, "b": 0.0}
+
+
+# -- hash-seed determinism ---------------------------------------------------
+
+#: A harness ``fluid_wan`` day whose re-solves used to sum over a set of
+#: tuple keys: its completions moved with ``PYTHONHASHSEED``.
+_HASH_SEED_DAY = """
+from repro.fluid import FluidEngine
+from repro.harness import scenarios
+from repro.harness.spec import make_spec
+from repro.util.units import MBYTE
+
+spec = make_spec(
+    "fluid_wan", sessions=1000, session_rate=90.0, oc48=True, bench_seed=7
+)
+eng = FluidEngine(
+    scenarios._testbed(spec).net,
+    ip=scenarios._ip(spec),
+    window_bytes=int(spec.get("window_mbytes", 8)) * MBYTE,
+)
+eng.offer(scenarios._workload(spec).schedule())
+eng.run()
+print(repr(([(f.name, f.arrived, f.completed) for f in eng.completed], eng.now)))
+"""
+
+
+def test_fluid_day_independent_of_hash_seed():
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_DAY],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
