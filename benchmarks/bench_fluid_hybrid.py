@@ -24,7 +24,6 @@ import pytest
 from repro.fluid import BoundedPareto, FluidEngine, WorkloadGenerator
 from repro.harness import SweepRunner, check_sweep, open_cache, sweep_specs
 from repro.netsim import CbrFlow, ClassicalIP, PingFlow, build_testbed
-from repro.netsim.core import packet_pool
 from repro.netsim.ip import TESTBED_MTU
 from repro.util import git_short_sha
 
@@ -130,11 +129,10 @@ def test_fluid_flows_per_sec_report(report):
 
 def test_arena_reuse_report(report):
     """Arena payoff on the packet side of the hybrid: a CBR/ping flow
-    mix where both free-list arenas (Packet objects and kernel heap
-    entries) run at steady state.  Reports the allocation reduction."""
+    mix where the kernel's heap-entry free list runs at steady state.
+    Reports the allocation reduction."""
     tb = build_testbed()
     env = tb.env
-    allocs0, reuses0 = packet_pool.allocs, packet_pool.reuses
     flows = [
         CbrFlow(
             tb.net,
@@ -163,16 +161,9 @@ def test_arena_reuse_report(report):
     t0 = time.perf_counter()
     env.run(until=env.all_of([f.done for f in flows]))
     wall = time.perf_counter() - t0
-    pkt_allocs = packet_pool.allocs - allocs0
-    pkt_reuses = packet_pool.reuses - reuses0
-    pkt_total = pkt_allocs + pkt_reuses
     entry_total = env.scheduled_count
     entry_reuses = entry_total - env.pool_allocs
     rows = [
-        f"{'packet acquires':<28} {pkt_total:>12,d}",
-        f"{'  constructed':<28} {pkt_allocs:>12,d}",
-        f"{'  recycled':<28} {pkt_reuses:>12,d} "
-        f"({pkt_reuses / pkt_total:.0%})" if pkt_total else "",
         f"{'heap entries scheduled':<28} {entry_total:>12,d}",
         f"{'  allocated':<28} {env.pool_allocs:>12,d}",
         f"{'  recycled':<28} {entry_reuses:>12,d} "
@@ -185,18 +176,14 @@ def test_arena_reuse_report(report):
     _append_trend(
         {
             "bench": "arena_reuse",
-            "packet_acquires": pkt_total,
-            "packet_allocs": pkt_allocs,
-            "packet_reuses": pkt_reuses,
             "entry_scheduled": entry_total,
             "entry_allocs": env.pool_allocs,
             "wall_s": round(wall, 4),
         }
     )
 
-    # The arenas must actually absorb the steady-state churn: most
-    # packets and heap entries come back recycled, not freshly built.
-    assert pkt_total > 0 and pkt_reuses > pkt_allocs
+    # The free list must actually absorb the steady-state churn: most
+    # heap entries come back recycled, not freshly built.
     assert entry_reuses > env.pool_allocs
 
 

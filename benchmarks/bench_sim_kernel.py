@@ -116,6 +116,10 @@ def _bulk_run(fast_path: bool):
     t0 = time.perf_counter()
     goodput = bt.run()
     wall = time.perf_counter() - t0
+    # Link hops (every packet serialized on every link, acks included)
+    # are the unit of the kernel_bench rate; ``packets`` counts
+    # end-to-end data segments, a different and much smaller unit.
+    link_hops = sum(sum(ln.tx_packets.values()) for ln in tb.net.links.values())
     _append_trend(
         {
             "bench": "wan_bulk_pipeline",
@@ -123,6 +127,8 @@ def _bulk_run(fast_path: bool):
             "mbytes": BULK_MBYTES,
             "packets": bt.segments_delivered,
             "packets_per_sec": round(bt.segments_delivered / wall, 1),
+            "link_hops": link_hops,
+            "link_hops_per_s": round(link_hops / wall, 1),
             "events": tb.env.scheduled_count,
             "wall_s": round(wall, 4),
         }

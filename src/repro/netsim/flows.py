@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.netsim.core import Network, Packet, packet_pool
+from repro.netsim.core import Network, Packet
 from repro.netsim.ip import ClassicalIP, IP_HEADER, TCP_HEADER
 from repro.sim import Environment, Event
 from repro.util.stats import RunningStats
@@ -465,7 +465,7 @@ class CbrFlow:
                 # Burst form: departure instants are precomputed as one
                 # vectorized prefix sum, and each frame is emitted by a
                 # bare callback — no generator resumes, no per-frame
-                # Timeout allocation.  Packets come from the arena.
+                # Timeout allocation.
                 self._host = net.host(src)
                 self._payloads = [
                     (p, self.ip.datagram_bytes(p))
@@ -539,9 +539,8 @@ class CbrFlow:
         name = self.name
         src = self.src
         dst = self.dst
-        acquire = packet_pool.acquire
         for payload, ip_bytes in self._payloads:
-            host.send(acquire(name, src, dst, ip_bytes, payload, "data", frame))
+            host.send(Packet(name, src, dst, ip_bytes, payload, "data", frame))
         nxt = frame + 1
         if nxt < self.n_frames:
             self.env.call_at(self._dep[nxt], self._emit_frame, nxt)
@@ -670,7 +669,7 @@ class PingFlow:
         if self.driven:
             if self.env.fast_path and count > 0:
                 # Burst form (see CbrFlow): precomputed departures, one
-                # callback per ping, arena packets.
+                # callback per ping.
                 self._dep = _burst_departures(self.env.now, interval, count)
                 self.env.call_later(0.0, self._send_ping, 0)
             else:
@@ -701,7 +700,7 @@ class PingFlow:
     def _send_ping(self, i: int) -> None:
         self._sent_at[i] = self.env._now
         self._src_host.send(
-            packet_pool.acquire(
+            Packet(
                 self.name,
                 self.src,
                 self.dst,
@@ -730,10 +729,8 @@ class PingFlow:
             self.done.succeed(self.rtt.mean)
 
     def _echo(self, packet: Packet, now: float) -> None:
-        # The request packet is released by the delivering host after
-        # this sink returns, so only scalars are copied into the reply.
         self._dst_host.send(
-            packet_pool.acquire(
+            Packet(
                 self.name + ".reply",
                 self.dst,
                 self.src,

@@ -35,25 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-__all__ = ["DrrScheduler", "replay_deficit"]
-
-
-def replay_deficit(d0: float, costs, quantum: float, weight: float) -> float:
-    """Deficit left after serving ``costs`` in order, starting from ``d0``.
-
-    The DRR update rule is a pure fold over the served costs — no term
-    depends on *when* a packet was served — so a batch claim that ran
-    the whole fold up front can recover the deficit the unbatched
-    scheduler would hold after any prefix by replaying just that prefix.
-    Link/gateway batch unwinding (mid-burst fault or contention) uses
-    this to restore bit-identical scheduler state.
-    """
-    d = d0
-    for c in costs:
-        while d < c:
-            d += quantum * weight
-        d -= c
-    return d
+__all__ = ["DrrScheduler"]
 
 
 class DrrScheduler:
@@ -75,7 +57,6 @@ class DrrScheduler:
         "_weights",
         "_total",
         "_getters",
-        "_claimed",
     )
 
     def __init__(
@@ -93,9 +74,6 @@ class DrrScheduler:
         self._weights: dict[str, float] = {}
         self._total = 0
         self._getters: deque = deque()  # blocked slow-path getters (Events)
-        #: flow whose round membership is held open by a batch claim
-        #: (see :meth:`claim`); ``None`` outside a claim window
-        self._claimed: Optional[str] = None
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
@@ -170,13 +148,10 @@ class DrrScheduler:
                 del deficit[flow]
             return packet
 
-    # -- batch claim (the lazy transmitters' inline burst service) -----------
-    def single_backlog(self) -> bool:
-        """True when exactly one flow holds the whole backlog — the only
-        shape a transmitter may claim as a batch (DRR order is then FIFO,
-        so pre-committing service decisions cannot reorder anything)."""
-        return len(self._active) == 1 and self._total > 0
-
+    # -- batch claim ---------------------------------------------------------
+    # No transmitter calls claim/commit_claim/restore_front.  They stay
+    # only because perfbench/tracer.py wraps all three by name (its
+    # ``_DRR_OPS``), and its install fails on a missing attribute.
     def claim(self, limit: int):
         """Dequeue up to ``limit`` packets of the single backlogged flow
         in one call, recording everything needed to unwind exactly.
@@ -188,8 +163,7 @@ class DrrScheduler:
         :meth:`commit_claim`, so same-flow packets arriving mid-batch
         keep deficit continuity exactly as if the queue had never been
         empty.  Returns ``(flow, packets, costs, d0, quantum, weight)``;
-        ``d0`` is the deficit before the claim, for
-        :func:`replay_deficit`-based unwinding.
+        ``d0`` is the deficit before the claim.
         """
         flow = self._active[0]
         q = self._queues[flow]
@@ -209,14 +183,11 @@ class DrrScheduler:
             costs.append(c)
         self._total -= len(packets)
         self._deficit[flow] = d
-        if not q:
-            self._claimed = flow  # hold the round open until commit
         return flow, packets, costs, d0, quantum, weight
 
     def commit_claim(self, flow: str) -> None:
         """Close out a finished claim: apply the deferred end-of-round
         forfeiture if the flow's deque is (still) empty."""
-        self._claimed = None
         q = self._queues.get(flow)
         if q is not None and not q and flow in self._deficit:
             del self._deficit[flow]
@@ -225,18 +196,16 @@ class DrrScheduler:
     def restore_front(self, flow: str, packets, deficit: float) -> None:
         """Unwind the unserved tail of a claim: put ``packets`` back at
         the head of ``flow``'s deque and reset its deficit to the value
-        the unbatched fold would hold (from :func:`replay_deficit`)."""
+        the unbatched fold would hold."""
         q = self._queues[flow]
         if packets:
             q.extendleft(reversed(packets))
             self._total += len(packets)
             self._deficit[flow] = deficit
-            self._claimed = None
         elif q:
             # Fully-served claim, but same-flow arrivals kept the deque
             # alive: the flow never logically emptied, keep continuity.
             self._deficit[flow] = deficit
-            self._claimed = None
         else:
             # Fully-served claim and nothing arrived: the unbatched
             # scheduler would have forfeited at the last dequeue.
@@ -262,5 +231,4 @@ class DrrScheduler:
         self._active.clear()
         self._deficit.clear()
         self._total = 0
-        self._claimed = None
         return dropped

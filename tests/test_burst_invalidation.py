@@ -1,42 +1,22 @@
 """Burst invalidation: faults and DRR contention mid-burst.
 
-The batched hot path pre-schedules whole bursts — CBR sources emit one
-kernel event per frame, and saturated links claim bounded same-flow
-batches with every member's arrival already in the heap.  A fault or a
-competing flow arriving mid-burst must unwind the unserved tail and
-replay it through the ordinary per-packet machinery.  These tests pin
-the contract: every delivery tuple (endpoint, kind, seq, timestamp) is
-bit-identical whether bursts were taken, forcibly refused, bounded to
-one packet, or the whole simulation ran on the classic generator/
-process slow path.
+On the fast path CBR sources pre-schedule whole bursts (one kernel
+event per frame), and the lazy link transmitter pre-schedules each
+packet's arrival at the far node when its serialization starts.  A
+fault or a competing flow arriving mid-burst must cancel exactly the
+right pre-scheduled work.  These tests pin the contract: every delivery
+tuple (endpoint, kind, seq, timestamp) is bit-identical to the classic
+generator/process slow path.
 """
 
 import pytest
 
 from repro.netsim import BulkTransfer, CbrFlow, ClassicalIP, build_testbed
-from repro.netsim import core as netsim_core
 from repro.netsim.faults import FaultInjector
 from repro.netsim.ip import TESTBED_MTU
-from repro.netsim.sched import DrrScheduler
 from repro.sim import Environment
 
-VARIANTS = ("fast", "slow", "nobatch", "batch1")
-
-
-def _apply_variant(variant, monkeypatch):
-    """Return the Environment fast_path flag for ``variant`` after
-    installing its kernel restrictions."""
-    if variant == "slow":
-        return False
-    if variant == "nobatch":
-        # Refuse every batch claim: the lazy transmitter must fall back
-        # to per-packet service with identical timing.
-        monkeypatch.setattr(DrrScheduler, "single_backlog", lambda self: False)
-    elif variant == "batch1":
-        # A one-packet batch bound degenerates to per-packet service
-        # through the batching code path itself.
-        monkeypatch.setattr(netsim_core, "LINK_BATCH", 1)
-    return True
+VARIANTS = ("fast", "slow")
 
 
 def _record_deliveries(net, hosts):
@@ -52,10 +32,9 @@ def _record_deliveries(net, hosts):
     return deliveries
 
 
-def _run_fault_mid_burst(variant, monkeypatch):
+def _run_fault_mid_burst(variant):
     """A CBR stream over the WAN with the link failing mid-stream."""
-    fast = _apply_variant(variant, monkeypatch)
-    tb = build_testbed(env=Environment(fast_path=fast))
+    tb = build_testbed(env=Environment(fast_path=variant == "fast"))
     cbr = CbrFlow(
         tb.net,
         "sp2",
@@ -68,7 +47,7 @@ def _run_fault_mid_burst(variant, monkeypatch):
         drain_timeout=0.5,
     )
     # Down for 8 ms starting a third of the way in: several pre-scheduled
-    # frame bursts and any claimed link batch get chopped mid-flight.
+    # frame bursts and in-flight link arrivals get chopped mid-flight.
     FaultInjector(tb.net).link_down(tb.wan_link, at=0.02, duration=8e-3)
     deliveries = _record_deliveries(tb.net, ("sp2", "t3e-600"))
     tb.net.env.run(until=cbr.done)
@@ -80,11 +59,10 @@ def _run_fault_mid_burst(variant, monkeypatch):
     }
 
 
-def _run_contention_mid_burst(variant, monkeypatch):
+def _run_contention_mid_burst(variant):
     """A CBR stream sharing the WAN with a bulk transfer: cross-flow
-    arrivals invalidate claimed same-flow batches continuously."""
-    fast = _apply_variant(variant, monkeypatch)
-    tb = build_testbed(env=Environment(fast_path=fast))
+    arrivals interleave with the CBR bursts in every DRR round."""
+    tb = build_testbed(env=Environment(fast_path=variant == "fast"))
     ip = ClassicalIP(TESTBED_MTU)
     cbr = CbrFlow(
         tb.net,
@@ -113,30 +91,20 @@ def _run_contention_mid_burst(variant, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def fault_runs(request):
-    mp = pytest.MonkeyPatch()
-    runs = {}
-    for variant in VARIANTS:
-        with mp.context() as m:
-            runs[variant] = _run_fault_mid_burst(variant, m)
-    return runs
+def fault_runs():
+    return {variant: _run_fault_mid_burst(variant) for variant in VARIANTS}
 
 
 @pytest.fixture(scope="module")
-def contention_runs(request):
-    mp = pytest.MonkeyPatch()
-    runs = {}
-    for variant in VARIANTS:
-        with mp.context() as m:
-            runs[variant] = _run_contention_mid_burst(variant, m)
-    return runs
+def contention_runs():
+    return {variant: _run_contention_mid_burst(variant) for variant in VARIANTS}
 
 
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "fast"])
 def test_fault_mid_burst_is_bit_identical(fault_runs, variant):
     ref = fault_runs["fast"]
     assert fault_runs[variant] == ref, (
-        f"{variant} diverged from the batched fast path under a mid-burst fault"
+        f"{variant} diverged from the fast path under a mid-burst fault"
     )
 
 
@@ -144,7 +112,7 @@ def test_fault_mid_burst_is_bit_identical(fault_runs, variant):
 def test_contention_mid_burst_is_bit_identical(contention_runs, variant):
     ref = contention_runs["fast"]
     assert contention_runs[variant] == ref, (
-        f"{variant} diverged from the batched fast path under DRR contention"
+        f"{variant} diverged from the fast path under DRR contention"
     )
 
 

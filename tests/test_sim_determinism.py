@@ -15,6 +15,7 @@ from repro.harness.sweeps import demo_specs
 from repro.netsim import BulkTransfer, CbrFlow, ClassicalIP, build_testbed
 from repro.netsim.core import Packet
 from repro.netsim.ip import TESTBED_MTU
+from repro.shard.workloads import PartitionView, wan_multiflow
 from repro.sim import Environment, Event, Store
 
 MB = 1024 * 1024
@@ -129,6 +130,38 @@ def test_contended_fast_path_is_run_to_run_deterministic():
     a = _run_contended(fast_path=True)
     b = _run_contended(fast_path=True)
     assert a == b
+
+
+def _link_counters(fast_path: bool) -> dict:
+    """Every link's transmit, busy and loss tallies after a drained
+    bidirectional multi-flow WAN run (bulks both ways plus D1 video)."""
+    state = wan_multiflow({"mbytes": 2, "fast_path": fast_path}, PartitionView())
+    state.env.run()
+    out = {}
+    for name, link in state.net.links.items():
+        ends = (link.a.name, link.b.name)
+        out[name] = {
+            "tx_packets": link.tx_packets,
+            "tx_bytes": link.tx_bytes,
+            "flow_tx_packets": link.flow_tx_packets,
+            "flow_tx_bytes": link.flow_tx_bytes,
+            "busy_seconds": {d: link.busy_seconds(d) for d in ends},
+            "drops": link.drops,
+            "lost": link.lost,
+        }
+    return out
+
+
+def test_link_counters_match_the_reference():
+    """Per-link accounting is identical on both paths: every packet the
+    fast transmitter serializes is counted exactly once, on every link
+    and direction, and busy time folds to the same elapsed figure."""
+    fast = _link_counters(fast_path=True)
+    slow = _link_counters(fast_path=False)
+    assert fast.keys() == slow.keys()
+    for name in slow:
+        assert fast[name] == slow[name], name
+    assert sum(sum(c["tx_packets"].values()) for c in slow.values()) > 0
 
 
 def test_demo_sweep_metrics_stable_across_runs():
