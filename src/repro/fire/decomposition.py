@@ -12,6 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 
+def _as_mask(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Check a voxel mask: a bool array of the volume's spatial ``shape``.
+
+    An int 0/1 mask would fancy-index instead of select, and a mask of
+    fewer axes would select whole rows; both give plausible-looking
+    wrong results, so they are rejected here.
+    """
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != tuple(shape):
+        raise ValueError(
+            f"mask must be a bool array of shape {tuple(shape)}, "
+            f"got {mask.dtype} {mask.shape}"
+        )
+    return mask
+
+
 def slab_bounds(n_items: int, n_parts: int, part: int) -> tuple[int, int]:
     """[start, stop) of ``part`` when ``n_items`` split into ``n_parts``.
 

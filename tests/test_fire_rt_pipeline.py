@@ -1,6 +1,8 @@
 """Tests for the RT-server/RT-client chain and the Figure-2 pipeline
 (experiment E3 and the E8 pipelining ablation)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.fire import (
     ScannerConfig,
     SimulatedScanner,
 )
+from repro.fire.modules import correct_motion, estimate_motion
 from repro.fire.rt import parallel_correlation
 from repro.machines import CRAY_T3E_600
 from repro.machines.t3e_model import REF_VOXELS
@@ -104,6 +107,41 @@ class TestRTClient:
         assert len(client.motion_track) == 7
         fin = client.final_analysis()
         assert fin.mean_motion > 0.1
+
+    def test_moving_head_golden_pin(self):
+        """The realtime chain's output, pinned: the per-frame correlation
+        maps and motion parameters of a 12-frame moving-head session hash
+        to a fixed SHA-256.  Any change to the median filter, motion
+        correction or incremental correlation that moves one bit fails."""
+        sc = SimulatedScanner(
+            HeadPhantom(),
+            ScannerConfig(n_frames=12, motion_amplitude=1.0, noise_sigma=3.0, seed=7),
+        )
+        client = RTClient(RTServer(sc), flags=ModuleFlags(rvo=False))
+        frames = client.run()
+        h = hashlib.sha256()
+        for frame in frames:
+            h.update(frame.correlation.tobytes())
+        for est in client.motion_track:
+            h.update(est.translation.tobytes())
+            h.update(est.rotation.tobytes())
+        assert h.hexdigest() == (
+            "b31e9aa600771a083a82803705800561faaa4f134b20d0cf3f63f70af69b415e"
+        )
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 5])
+    def test_estimate_carries_the_corrected_frame(self, max_iterations):
+        """The chain uses ``est.corrected`` instead of resampling again; it
+        must equal ``correct_motion`` bit for bit."""
+        sc = SimulatedScanner(
+            HeadPhantom(),
+            ScannerConfig(n_frames=12, motion_amplitude=1.0, noise_sigma=3.0, seed=7),
+        )
+        reference = sc.frame(0)
+        for i in (1, 6, 11):
+            frame = sc.frame(i)
+            est = estimate_motion(frame, reference, max_iterations=max_iterations)
+            assert est.corrected.tobytes() == correct_motion(frame, est).tobytes()
 
     def test_flags_map_to_t3e_modules(self):
         assert ModuleFlags().t3e_modules() == ("filter", "motion", "rvo")
